@@ -1,6 +1,7 @@
 #include "core/encoding.hpp"
 
 #include "support/bits.hpp"
+#include "support/error.hpp"
 #include "support/text.hpp"
 
 namespace cepic {
@@ -84,9 +85,10 @@ Operand decode_src(std::uint64_t field, SrcSpec spec, bool is_lit, bool zext,
 Instruction decode_instruction(std::uint64_t word,
                                const ProcessorConfig& cfg) {
   const InstructionFormat fmt = cfg.format();
-  if (fmt.total_bits() < 64 && (word & ~mask64(fmt.total_bits())) != 0) {
-    throw Error("decode: bits set above the instruction width");
-  }
+  // The field floors (15 + 2*6 + 2*16 + 5) already fill 64 bits and
+  // validate() caps the format there, so every word bit is a field bit.
+  CEPIC_CHECK(fmt.total_bits() == 64,
+              "instruction formats of validated configs are 64 bits");
 
   const std::uint64_t opcode =
       extract_bits(word, fmt.opcode_lo(), fmt.opcode_bits);

@@ -140,7 +140,6 @@ SweepBatch run_sweep_batch(const std::vector<std::string>& sources,
   popts.sim = options.sim;
   popts.jobs = options.jobs;
   popts.store_dir = options.store_dir;
-  popts.result_cache_file = options.cache_file;
   pipeline::Service service(popts);
 
   const std::vector<pipeline::RunOutcome> outcomes =

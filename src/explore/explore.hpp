@@ -49,7 +49,7 @@ struct PointResult {
   std::uint64_t config_hash = 0;
   bool ok = false;
   std::string error;
-  bool from_cache = false;  ///< served by the result cache (not exported)
+  bool from_cache = false;  ///< replayed from the store (not exported)
 
   // Simulation outcome (cacheable, integers).
   std::uint64_t cycles = 0;
@@ -71,7 +71,7 @@ struct PointResult {
 struct SweepResult {
   std::uint64_t source_hash = 0;
   std::vector<PointResult> points;  ///< one per SweepSpec point, in order
-  std::size_t cache_hits = 0;       ///< points served from the cache
+  std::size_t cache_hits = 0;       ///< points replayed from the store
 
   /// Indices (ascending) of the Pareto-optimal points under simultaneous
   /// minimisation of cycles, slices and power. Failed points never
@@ -91,20 +91,16 @@ struct SweepResult {
 struct ExploreOptions {
   /// Worker threads; 0 means "all hardware threads".
   unsigned jobs = 1;
-  /// Explicit on-disk result cache file; empty defers to the store
-  /// (results persist at `<store_dir>/<version>/results.cache` when a
-  /// store is configured, nowhere otherwise). Kept for callers that
-  /// want result persistence without an artifact store.
-  std::string cache_file;
-  /// Root of the persistent content-addressed artifact store (the
-  /// tools' `--cache DIR`); empty keeps artifact sharing in-memory.
+  /// Root of the persistent content-addressed store (the tools'
+  /// `--cache DIR`): compiled artifacts and one simulation result per
+  /// point persist there; empty keeps both in-memory.
   std::string store_dir;
   SimOptions sim;
   pipeline::CodegenOptions compile;
 };
 
 /// A batch of sweeps (one per source) that shared a single
-/// pipeline::Service — one store, one scheduler, one result cache.
+/// pipeline::Service — one store, one scheduler.
 struct SweepBatch {
   std::vector<SweepResult> sweeps;  ///< one per source, in order
   pipeline::ServiceStats stats;     ///< store / compile / simulate counters
@@ -113,8 +109,8 @@ struct SweepBatch {
 /// Compile and simulate every source at every point of `spec` through
 /// one shared pipeline::Service. Per-point failures (invalid config,
 /// compile error, simulation fault) are captured in the corresponding
-/// PointResult rather than thrown; only infrastructure failures
-/// (unwritable store or cache file) escape.
+/// PointResult rather than thrown; only a store root that cannot be
+/// opened escapes.
 SweepBatch run_sweep_batch(const std::vector<std::string>& sources,
                            const SweepSpec& spec,
                            const ExploreOptions& options = {});

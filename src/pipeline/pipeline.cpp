@@ -1,7 +1,6 @@
 #include "pipeline/pipeline.hpp"
 
 #include <condition_variable>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -93,6 +92,16 @@ analysis::LintReport decode_ir_lint(const std::string& blob) {
     report.diags.push_back(std::move(d));
   }
   return report;
+}
+
+/// Fill a batch slot from a simulation outcome.
+void set_result(RunOutcome& out, const SimResult& r) {
+  out.ok = true;
+  out.cycles = r.cycles;
+  out.ops_committed = r.ops_committed;
+  out.output_words = r.output_words;
+  out.output_hash = r.output_hash;
+  out.ret = r.ret;
 }
 
 }  // namespace
@@ -375,30 +384,18 @@ EpicSimulator Service::run(std::string_view source,
   return sim;
 }
 
-std::string Service::result_cache_path() const {
-  if (!options_.result_cache_file.empty()) return options_.result_cache_file;
-  if (store_.persistent()) {
-    return (std::filesystem::path(store_.directory()) / "results.cache")
-        .string();
-  }
-  return {};
-}
-
 std::vector<RunOutcome> Service::run_batch(
     const std::vector<std::string>& sources,
     const std::vector<ProcessorConfig>& configs) {
   const std::size_t cols = configs.size();
   std::vector<RunOutcome> outcomes(sources.size() * cols);
 
-  ResultCache results;
-  const std::string results_path = result_cache_path();
-  if (!results_path.empty()) results.load_file(results_path);
-
   const std::uint32_t stack_top =
       static_cast<std::uint32_t>(options_.sim.mem_size);
-  // Result-cache context: everything outside (source, config) that the
-  // simulation outcome depends on. Folded into the key so a cache file
-  // can never answer for different compile or simulation options.
+  // Result context: everything outside (source, config) that the
+  // simulation outcome depends on. Folded into every kResult digest so
+  // a stored result can never answer for different compile or
+  // simulation options.
   const std::uint64_t context = fnv1a64(
       cat("run|", store_version_tag(), "|", codegen_text_, "|",
           backend_options_text(options_.codegen.backend, stack_top),
@@ -419,10 +416,10 @@ std::vector<RunOutcome> Service::run_batch(
     std::size_t index;   ///< slot in `outcomes`
     std::size_t source;  ///< index into `sources`
     std::size_t config;  ///< index into `configs`
-    ResultCache::Key key;
+    ArtifactId result;   ///< where the outcome is stored
   };
-  // Items not answered by the result cache, grouped by program store
-  // key: one compile task per group feeds its simulate tasks.
+  // Items the store holds no result for, grouped by program artifact
+  // digest: one compile task per group feeds its simulate tasks.
   std::map<std::uint64_t, std::vector<Item>> groups;
 
   // Simulation dedup across (and within) groups: keyed by the digest of
@@ -435,7 +432,7 @@ std::vector<RunOutcome> Service::run_batch(
     bool done = false;
     bool ok = false;
     std::string error;
-    CacheEntry result;
+    SimResult result;
   };
   struct SimDedup {
     std::mutex m;
@@ -444,8 +441,7 @@ std::vector<RunOutcome> Service::run_batch(
   } dedup;
 
   for (std::size_t w = 0; w < sources.size(); ++w) {
-    const std::uint64_t source_hash =
-        fnv1a64(cat(hex64(fnv1a64(sources[w])), ":", hex64(context)));
+    const std::uint64_t source_hash = fnv1a64(sources[w], context);
     for (std::size_t p = 0; p < cols; ++p) {
       const std::size_t index = w * cols + p;
       RunOutcome& out = outcomes[index];
@@ -455,22 +451,19 @@ std::vector<RunOutcome> Service::run_batch(
         out.error = e.what();
         continue;
       }
-      const ResultCache::Key key{source_hash, configs[p].stable_hash()};
-      CacheEntry entry;
-      if (results.lookup(key, entry)) {
-        out.ok = true;
+      const ArtifactId result{
+          Granularity::kResult,
+          fnv1a64(hex64(configs[p].stable_hash()), source_hash)};
+      SimResult stored;
+      if (store_.get(result, stored)) {
+        set_result(out, stored);
         out.from_result_cache = true;
-        out.cycles = entry.cycles;
-        out.ops_committed = entry.ops_committed;
-        out.output_words = entry.output_words;
-        out.output_hash = entry.output_hash;
-        out.ret = entry.ret;
         continue;
       }
       groups[artifact(Granularity::kProgram, sources[w],
                       codegen_slice(configs[p]), stack_top)
                  .digest]
-          .push_back(Item{index, w, p, key});
+          .push_back(Item{index, w, p, result});
     }
   }
 
@@ -481,8 +474,8 @@ std::vector<RunOutcome> Service::run_batch(
       (void)key;
       const std::vector<Item>* group = &items;
       const std::uint64_t submit_ns = obs::now_ns();
-      pool.submit([this, group, &sources, &configs, &outcomes, &results,
-                   &pool, &dedup, stack_top, submit_ns] {
+      pool.submit([this, group, &sources, &configs, &outcomes, &pool,
+                   &dedup, stack_top, submit_ns] {
         obs::Span task_span("batch.compile", "pipeline");
         const std::uint64_t wait_ns = obs::now_ns() - submit_ns;
         obs::observe("pipeline.queue_wait_ns", wait_ns);
@@ -504,26 +497,25 @@ std::vector<RunOutcome> Service::run_batch(
         for (const Item& item : *group) {
           const Item* it = &item;
           const std::uint64_t sim_submit_ns = obs::now_ns();
-          pool.submit([this, shared, it, &configs, &outcomes, &results,
-                       &dedup, sim_submit_ns] {
+          pool.submit([this, shared, it, &configs, &outcomes, &dedup,
+                       sim_submit_ns] {
             obs::Span task_span("batch.simulate", "pipeline");
             const std::uint64_t wait_ns = obs::now_ns() - sim_submit_ns;
             obs::observe("pipeline.queue_wait_ns", wait_ns);
             task_span.arg("queue_wait_ns", wait_ns);
             RunOutcome& out = outcomes[it->index];
             const auto deliver = [&](const SimDedupEntry& e) {
-              if (e.ok) {
-                results.insert(it->key, e.result);
-                out.ok = true;
-                out.cycles = e.result.cycles;
-                out.ops_committed = e.result.ops_committed;
-                out.output_words = e.result.output_words;
-                out.output_hash = e.result.output_hash;
-                out.ret = e.result.ret;
-              } else {
-                out.ok = false;
+              if (!e.ok) {
                 out.error = e.error;
+                return;
               }
+              try {
+                store_.put(it->result, e.result);
+              } catch (const std::exception& ex) {
+                out.error = ex.what();
+                return;
+              }
+              set_result(out, e.result);
             };
 
             std::uint64_t digest = 0;
@@ -549,8 +541,8 @@ std::vector<RunOutcome> Service::run_batch(
               if (!claim.second) {
                 dedup.cv.wait(lk, [&] { return slot->second.done; });
                 // Copy the finished entry and drop dedup.m before
-                // touching any other lock (the result cache inside
-                // deliver, the stats mutex): every mutex on this path
+                // touching any other lock (the store inside deliver,
+                // the stats mutex): every mutex on this path
                 // stays a leaf, so no lock order can invert.
                 const SimDedupEntry finished = slot->second;
                 lk.unlock();
@@ -603,21 +595,6 @@ std::vector<RunOutcome> Service::run_batch(
     pool.wait();
   }
 
-  {
-    // Snapshot the cache counters before taking the stats mutex so the
-    // two locks never nest (keep mu_ a leaf lock).
-    const std::uint64_t hits = results.hits();
-    const std::uint64_t misses = results.misses();
-    std::unique_lock<std::mutex> lock(mu_);
-    result_hits_ += hits;
-    result_misses_ += misses;
-  }
-  if (!results_path.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(results_path).parent_path(), ec);
-    results.save_file(results_path);
-  }
   return outcomes;
 }
 
@@ -634,16 +611,12 @@ void publish_stats(const ServiceStats& s) {
   r.set_counter("pipeline.result_misses", s.result_misses);
   r.set_counter("pipeline.sim_dedup_hits", s.sim_dedup_hits);
   r.set_counter("pipeline.compiles", s.compiles());
-  const auto fold = [&r](const char* name, const GranularityStats& g) {
-    r.set_counter(cat("store.", name, ".hits"), g.hits);
-    r.set_counter(cat("store.", name, ".misses"), g.misses);
-    r.set_counter(cat("store.", name, ".puts"), g.puts);
-  };
-  fold("ir", s.store.ir);
-  fold("asm", s.store.assembly);
-  fold("program", s.store.program);
-  fold("lint", s.store.lint);
-  fold("irlint", s.store.ir_lint);
+  for (const GranularityInfo& g : kGranularities) {
+    const GranularityStats& gs = s.store.*g.stats;
+    r.set_counter(cat("store.", g.name, ".hits"), gs.hits);
+    r.set_counter(cat("store.", g.name, ".misses"), gs.misses);
+    r.set_counter(cat("store.", g.name, ".puts"), gs.puts);
+  }
 }
 
 void Service::publish_stats() const { pipeline::publish_stats(stats()); }
@@ -669,6 +642,8 @@ EpicSimulator run_once(std::string_view source, const ProcessorConfig& config,
 ServiceStats Service::stats() const {
   ServiceStats s;
   s.store = store_.stats();
+  s.result_hits = s.store.result.hits;
+  s.result_misses = s.store.result.misses;
   std::unique_lock<std::mutex> lock(mu_);
   s.frontend_runs = frontend_runs_;
   s.backend_runs = backend_runs_;
@@ -677,8 +652,6 @@ ServiceStats Service::stats() const {
   s.simulations = simulations_;
   s.lint_runs = lint_runs_;
   s.ir_lint_runs = ir_lint_runs_;
-  s.result_hits = result_hits_;
-  s.result_misses = result_misses_;
   s.sim_dedup_hits = sim_dedup_hits_;
   return s;
 }

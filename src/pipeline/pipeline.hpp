@@ -1,8 +1,9 @@
 // cepic::pipeline — the unified compile/run surface of the toolchain.
 //
-// A pipeline::Service owns (a) a content-addressed store of compilation
-// artifacts at three granularities (optimised IR, assembly text,
-// assembled Program) and (b) a shared thread-pool scheduler that runs
+// A pipeline::Service owns (a) a content-addressed store (store.hpp)
+// of compilation artifacts — optimised IR, assembly text, assembled
+// Program and the two lint reports — and of simulation results, one
+// Granularity each, and (b) a shared thread-pool scheduler that runs
 // compile and simulate steps of a batch as separate dependency-ordered
 // tasks. Everything — explore::run_sweep, the cepic-cc / cepic-sim /
 // cepic-explore tools, the benches, the tests — is a client of this
@@ -51,15 +52,17 @@
 // byte-identical once their configs are canonicalised to the sim slice
 // must produce identical outcomes, so only the first one runs and the
 // rest share its result (ServiceStats::sim_dedup_hits counts them).
-// This fires across compile groups — e.g. max_regs_per_instr 4 vs 3
-// compile separately but usually schedule to the same bundles.
+// This fires across compile groups — e.g. 4 vs 8 ALUs compile
+// separately (distinct codegen slices) yet schedule to byte-identical
+// bundles, since packing is bounded by issue_width
+// (IdenticalProgramsAcrossCompileGroupsSimulateOnce pins it).
 //
 // ## Determinism contract
 //
 // Batch outcomes are stored at their (source, config) slot and are pure
 // functions of the inputs, so results are byte-identical for any jobs
-// count and any cache temperature (cold, warm store, warm result
-// cache). tests/test_pipeline.cpp and the CI cache-correctness job
+// count and any cache temperature (cold, warm artifacts, replayed
+// results). tests/test_pipeline.cpp and the CI cache-correctness job
 // assert this literally.
 #pragma once
 
@@ -76,7 +79,6 @@
 #include "core/program.hpp"
 #include "ir/ir.hpp"
 #include "opt/opt.hpp"
-#include "pipeline/result_cache.hpp"
 #include "pipeline/store.hpp"
 #include "sim/simulator.hpp"
 
@@ -100,21 +102,16 @@ struct Options {
   /// Infrastructure — never keyed, never changes any output byte.
   unsigned jobs = 1;
   /// Root of the persistent content-addressed store; empty keeps all
-  /// artifact sharing in-memory (within this Service only). Artifacts
-  /// live under `<store_dir>/<store_version_tag()>/`.
+  /// artifact and result sharing in-memory (within this Service only).
+  /// Artifacts and results live under `<store_dir>/<store_version_tag()>/`.
   std::string store_dir;
-  /// Simulation-result cache file. Empty + persistent store => the
-  /// default `<store_dir>/<version>/results.cache`; empty + no store
-  /// => no result persistence. (Kept separate from the store because
-  /// entries are keyed per *simulation*, not per artifact.)
-  std::string result_cache_file;
   /// Run the mcheck machine-code verifier over every compiled Program
   /// and refuse (throw / fail the batch item) on rule errors. Reports
   /// are cached in the store at Granularity::kLint under the program's
   /// artifact key — sound because mcheck reads only the codegen slice
   /// of the configuration. Never changes artifact bytes, so it is not
-  /// part of the store key material; it *is* folded into the
-  /// result-cache context (a "verified" result must mean verified).
+  /// part of the artifact key material; it *is* folded into the
+  /// kResult key (a "verified" result must mean verified).
   bool verify = false;
   /// Escalate mcheck warnings (port-budget, latency) to failures too.
   bool verify_werror = false;
@@ -136,7 +133,7 @@ struct CompileArtifacts {
 struct RunOutcome {
   bool ok = false;
   std::string error;
-  bool from_result_cache = false;  ///< simulation skipped entirely
+  bool from_result_cache = false;  ///< replayed from a kResult blob
 
   std::uint64_t cycles = 0;
   std::uint64_t ops_committed = 0;
@@ -157,8 +154,9 @@ struct ServiceStats {
   std::uint64_t simulations = 0;     ///< cycle-level simulations executed
   std::uint64_t lint_runs = 0;       ///< mcheck verifications executed
   std::uint64_t ir_lint_runs = 0;    ///< IR-level lint executions
-  std::uint64_t result_hits = 0;     ///< batch items served from results
-  std::uint64_t result_misses = 0;
+  std::uint64_t result_hits = 0;     ///< batch items replayed from the
+                                     ///< store (== store.result.hits)
+  std::uint64_t result_misses = 0;   ///< == store.result.misses
   /// Batch items answered by another item's in-flight simulation (same
   /// program bytes under sim_slice()-canonical config).
   std::uint64_t sim_dedup_hits = 0;
@@ -225,7 +223,7 @@ public:
   Program compile_program(std::string_view source,
                           const ProcessorConfig& config);
 
-  /// All three granularities at once.
+  /// IR, assembly and Program at once.
   CompileArtifacts compile(std::string_view source,
                            const ProcessorConfig& config);
 
@@ -241,9 +239,9 @@ public:
   /// sources[w] on configs[p] lands at index `w * configs.size() + p`.
   /// One compile task per unique (source, codegen-slice) feeds the
   /// simulate tasks that depend on it through one shared thread pool;
-  /// items already answered by the result cache schedule no work at
-  /// all. Per-item failures are captured in the RunOutcome; only
-  /// infrastructure failures (unwritable store/cache) escape.
+  /// items whose result the store already holds (Granularity::kResult)
+  /// schedule no work at all. Per-item failures — including a store
+  /// write that fails — are captured in the RunOutcome.
   std::vector<RunOutcome> run_batch(const std::vector<std::string>& sources,
                                     const std::vector<ProcessorConfig>& configs);
 
@@ -273,7 +271,6 @@ private:
   /// `lint_id`, sharing the program artifact's digest) and throw Error
   /// with the rendered report when it is not clean.
   void verify_program(const Program& program, const ArtifactId& lint_id);
-  std::string result_cache_path() const;
 
   Options options_;
   Store store_;
@@ -289,8 +286,6 @@ private:
   std::uint64_t simulations_ = 0;
   std::uint64_t lint_runs_ = 0;
   std::uint64_t ir_lint_runs_ = 0;
-  std::uint64_t result_hits_ = 0;
-  std::uint64_t result_misses_ = 0;
   std::uint64_t sim_dedup_hits_ = 0;
 };
 

@@ -1,5 +1,4 @@
-// Content-addressed store of compilation artifacts at five
-// granularities:
+// Content-addressed store of pipeline artifacts at six granularities:
 //
 //   kIr       the optimised IR Module, CEPX-encoded (keyed by source +
 //             optimiser options only — shared by *every* processor
@@ -18,16 +17,20 @@
 //             optimised Module, keyed like kIr (config-independent —
 //             the lint reads only the IR), one parseable diagnostic
 //             per line so the report is rebuilt typed on a hit
+//   kResult   the simulation outcome of one batch item (a fixed-size
+//             SimResult record), keyed by the source, the full
+//             ProcessorConfig and every compile/simulation option the
+//             outcome depends on; a blob of the wrong size is a miss
 //
 // Artifacts are addressed by ArtifactId{granularity, digest} handles —
 // stable 64-bit content hashes computed by pipeline::Service (see
 // pipeline.cpp); callers never touch on-disk paths or raw key strings.
-// The typed get/put overloads go through the serial:: CEPX codecs, so
-// Modules and Programs enter and leave the store as validated binary
+// The Module and Program get/put overloads go through the serial:: CEPX
+// codecs, so they enter and leave the store as validated binary
 // containers. Blobs live in an in-memory map and, when a root directory
 // is given, under `<root>/<store_version_tag()>/<gran>/` — one file per
-// artifact, written via a temp file + rename so readers never observe a
-// torn write. Because the version tag names the directory, artifacts
+// artifact, written via a temp file + rename so readers (and other
+// processes sharing the store) never observe a torn write. Because the version tag names the directory, artifacts
 // written by an older toolchain (different encoding, scheduler,
 // container format...) are simply invisible to a newer build and can
 // never be replayed; a `format` marker inside each versioned directory
@@ -52,24 +55,10 @@ enum class Granularity {
   kProgram = 2,
   kLint = 3,
   kIrLint = 4,
+  kResult = 5,
 };
 
-inline constexpr int kNumGranularities = 5;
-
-const char* to_string(Granularity g);
-
-/// Typed handle to one stored artifact: which granularity it lives at
-/// and the 64-bit content digest that addresses it. The Service derives
-/// digests; everything else just passes handles around.
-struct ArtifactId {
-  Granularity granularity = Granularity::kIr;
-  std::uint64_t digest = 0;
-
-  bool operator==(const ArtifactId&) const = default;
-};
-
-/// Render e.g. "ir:1f2e3d4c5b6a7988" for diagnostics and logs.
-std::string to_string(const ArtifactId& id);
+inline constexpr int kNumGranularities = 6;
 
 /// Hit/miss/write counters for one granularity. A disk read that
 /// succeeds counts as a hit (the artifact was reused across processes).
@@ -85,6 +74,66 @@ struct StoreStats {
   GranularityStats program;
   GranularityStats lint;
   GranularityStats ir_lint;
+  GranularityStats result;
+};
+
+/// Everything the store, the counters and the reports know about one
+/// granularity: `name` spells it in to_string(), in the `store.<name>.*`
+/// counters and in the `--cache-stats` / cepic-prof reports; objects
+/// live in `<versioned dir>/<subdir>/<hex digest><extension>` (the
+/// extension is purely for humans poking at the store); `stats` is its
+/// StoreStats field.
+struct GranularityInfo {
+  Granularity granularity;
+  const char* name;
+  const char* subdir;
+  const char* extension;
+  GranularityStats StoreStats::*stats;
+};
+
+/// One row per Granularity, in enum order.
+inline constexpr GranularityInfo kGranularities[kNumGranularities] = {
+    {Granularity::kIr, "ir", "ir", ".cepx", &StoreStats::ir},
+    {Granularity::kAsm, "asm", "asm", ".s", &StoreStats::assembly},
+    {Granularity::kProgram, "program", "prog", ".cepx", &StoreStats::program},
+    {Granularity::kLint, "lint", "lint", ".lint", &StoreStats::lint},
+    {Granularity::kIrLint, "irlint", "irlint", ".irlint",
+     &StoreStats::ir_lint},
+    {Granularity::kResult, "result", "result", ".res", &StoreStats::result},
+};
+
+inline const GranularityInfo& granularity_info(Granularity g) {
+  return kGranularities[static_cast<int>(g)];
+}
+
+inline const char* to_string(Granularity g) {
+  return granularity_info(g).name;
+}
+
+/// Typed handle to one stored artifact: which granularity it lives at
+/// and the 64-bit content digest that addresses it. The Service derives
+/// digests; everything else just passes handles around.
+struct ArtifactId {
+  Granularity granularity = Granularity::kIr;
+  std::uint64_t digest = 0;
+
+  bool operator==(const ArtifactId&) const = default;
+};
+
+/// Render e.g. "ir:1f2e3d4c5b6a7988" for diagnostics and logs.
+std::string to_string(const ArtifactId& id);
+
+/// Simulation outcome of one (source, config) batch item — the kResult
+/// blob. Only the simulation is stored; the analytic area/power model
+/// is recomputed from the config, so every field is an integer.
+struct SimResult {
+  std::uint64_t cycles = 0;
+  std::uint64_t ops_committed = 0;
+  std::uint64_t output_words = 0;  ///< length of the OUT stream
+  std::uint64_t output_hash = 0;   ///< FNV-1a fingerprint of the stream
+  std::uint32_t ret = 0;           ///< main's return value (r3)
+
+  bool operator==(const SimResult&) const = default;
 };
 
 class Store {
@@ -99,7 +148,7 @@ public:
   /// Error if `root` holds an old-layout or foreign store.
   explicit Store(const std::string& root, std::string version_tag = {});
 
-  // --- raw blob interface (kAsm / kLint text artifacts) ---
+  // --- raw blob interface (kAsm / kLint / kIrLint text artifacts) ---
 
   /// Look up a blob. Memory first, then disk (a disk hit is promoted
   /// into memory). Returns false on a miss.
@@ -122,14 +171,19 @@ public:
   bool get(const ArtifactId& id, Program& out);
   void put(const ArtifactId& id, const Program& program);
 
-  StoreStats stats() const;
+  /// Load a simulation result (id.granularity must be kResult). A blob
+  /// of the wrong size — stale or corrupt — counts as a miss, so the
+  /// caller re-simulates and its put() overwrites the blob.
+  bool get(const ArtifactId& id, SimResult& out);
+  void put(const ArtifactId& id, const SimResult& result);
 
-  /// The versioned directory artifacts live in; empty if memory-only.
-  const std::string& directory() const { return dir_; }
-  bool persistent() const { return !dir_.empty(); }
+  StoreStats stats() const;
 
 private:
   std::string object_path(const ArtifactId& id) const;
+  /// Memory first, then disk (promoting a disk hit); counts nothing.
+  bool fetch(const ArtifactId& id, std::string& blob);
+  void count(Granularity g, bool hit);
 
   std::string dir_;  ///< <root>/<version_tag>, "" when memory-only
   mutable std::mutex mu_;

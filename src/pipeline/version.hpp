@@ -1,6 +1,6 @@
 // Tool/build version identity for every persistent artifact the
 // pipeline writes. The content-addressed store scopes all on-disk
-// artifacts (and the batch result cache) under a directory named by
+// artifacts and simulation results under a directory named by
 // store_version_tag(), so artifacts produced by an older toolchain —
 // whose instruction encoding, CEPX container, scheduler or optimiser
 // may differ — can never be replayed by a newer build: a version bump
@@ -26,9 +26,10 @@ namespace cepic::pipeline {
 inline constexpr unsigned kPipelineSchema = 2;
 
 /// Human-readable toolchain identity folded into store paths and keys.
-/// pr8: IR-level lint reports cached at the new kIrLint granularity;
-/// the tag bump keeps pr7 stores (which never held them) separate.
-inline constexpr std::string_view kToolVersion = "cepic-pr8";
+/// result-store: simulation results live in the store as one kResult
+/// blob per batch item under `result/`, replacing the single rewritten
+/// results file of the cepic-pr8 layout.
+inline constexpr std::string_view kToolVersion = "cepic-result-store";
 
 /// Directory component under the store root that namespaces all
 /// artifacts of this build, e.g. "v1-cepic-pr3".

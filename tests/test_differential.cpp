@@ -7,6 +7,7 @@
 // references, closing the loop interpreter == simulator == native.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "pipeline/pipeline.hpp"
@@ -18,6 +19,17 @@
 #include "workloads/workloads.hpp"
 
 namespace cepic {
+namespace workloads {
+
+// Without this gtest prints the raw bytes of a Workload, and with them the
+// heap addresses of its strings, into every listed test name, so ctest's
+// names would change from one build to the next. Found by ADL.
+void PrintTo(const Workload& workload, std::ostream* os) {
+  *os << workload.name;
+}
+
+}  // namespace workloads
+
 namespace {
 
 ir::InterpResult golden(const std::string& src) {

@@ -6,6 +6,8 @@
 // This is the strongest compiler-correctness property in the suite.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "pipeline/pipeline.hpp"
 #include "frontend/irgen.hpp"
 #include "ir/interp.hpp"
@@ -95,6 +97,11 @@ struct E2eConfig {
   bool schedule;
   bool if_convert;
 };
+
+// Without this gtest prints the raw bytes of the struct, and with them the
+// address of `name`, into every listed test name, so ctest's names would
+// change from one build to the next.
+void PrintTo(const E2eConfig& config, std::ostream* os) { *os << config.name; }
 
 class E2eEpic : public ::testing::TestWithParam<E2eConfig> {};
 

@@ -90,17 +90,45 @@ TEST(Encoding, DecodeRejectsLiteralFlagOnRegisterOnlyOperand) {
   EXPECT_THROW(decode_instruction(word, cfg), Error);
 }
 
-TEST(Encoding, DecodeRejectsHighGarbageBitsOnNarrowFormats) {
-  ProcessorConfig cfg = default_cfg();
-  cfg.num_gprs = 32;
-  cfg.num_preds = 16;
-  cfg.num_btrs = 8;
-  // dest=6 (minimum), pred=5 (minimum), so total is still 64; shrink via
-  // a config whose format is < 64 bits is not possible with the floors,
-  // so this test only applies when total < 64. Skip if not.
-  if (cfg.format().total_bits() >= 64) GTEST_SKIP();
-  const std::uint64_t word = ~std::uint64_t{0};
-  EXPECT_THROW(decode_instruction(word, cfg), Error);
+TEST(Encoding, EveryAcceptedRegisterFileSizeYieldsA64BitFormat) {
+  // The field floors (15-bit opcode, 6-bit dests, 16-bit sources, 5-bit
+  // predicate) sum to 64 and validate() caps the format at 64, so no
+  // accepted configuration has spare bits above the instruction —
+  // decode_instruction checks exactly this. Sweep each register file
+  // over its whole validate() range, the other two at their range ends
+  // and defaults.
+  const unsigned gpr_ends[] = {8, 64, 1024};
+  const unsigned pred_ends[] = {2, 32, 256};
+  const unsigned btr_ends[] = {1, 16, 256};
+  std::size_t accepted = 0;
+  const auto check = [&accepted](unsigned gprs, unsigned preds,
+                                 unsigned btrs) {
+    ProcessorConfig cfg = default_cfg();
+    cfg.num_gprs = gprs;
+    cfg.num_preds = preds;
+    cfg.num_btrs = btrs;
+    try {
+      cfg.validate();
+    } catch (const Error&) {
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(cfg.format().total_bits(), 64u) << cfg.summary();
+  };
+  for (unsigned preds : pred_ends) {
+    for (unsigned btrs : btr_ends) {
+      for (unsigned gprs = 8; gprs <= 1024; ++gprs) check(gprs, preds, btrs);
+    }
+  }
+  for (unsigned gprs : gpr_ends) {
+    for (unsigned btrs : btr_ends) {
+      for (unsigned preds = 2; preds <= 256; ++preds) check(gprs, preds, btrs);
+    }
+    for (unsigned preds : pred_ends) {
+      for (unsigned btrs = 1; btrs <= 256; ++btrs) check(gprs, preds, btrs);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(Encoding, HaltAndNopRoundtrip) {

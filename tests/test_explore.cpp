@@ -1,19 +1,19 @@
-// The parallel design-space exploration engine (src/explore): thread
-// pool, grid grammar, validity filtering, thread-count invariance
-// (jobs=1 and jobs=8 must produce byte-identical results), result-cache
-// behaviour (in-memory and on-disk), Pareto-set extraction on a
-// hand-built fixture, and CSV/JSON golden output.
+// The parallel design-space exploration engine (src/explore): the
+// pipeline thread pool it runs on, grid grammar, validity filtering,
+// thread-count invariance (jobs=1 and jobs=8 must produce
+// byte-identical results), result replay (in-batch dedup and the
+// persistent store), Pareto-set extraction on a hand-built fixture, and
+// CSV/JSON golden output.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
+#include <filesystem>
 #include <thread>
 
-#include "pipeline/pipeline.hpp"
-#include "explore/cache.hpp"
 #include "explore/explore.hpp"
 #include "explore/sweep.hpp"
-#include "explore/thread_pool.hpp"
+#include "pipeline/pipeline.hpp"
+#include "pipeline/thread_pool.hpp"
 #include "support/text.hpp"
 
 namespace cepic::explore {
@@ -22,7 +22,7 @@ namespace {
 // ---------------------------------------------------------------- pool
 
 TEST(ThreadPool, RunsEverySubmittedTaskAndIsReusable) {
-  ThreadPool pool(4);
+  pipeline::ThreadPool pool(4);
   EXPECT_EQ(pool.concurrency(), 4u);
   std::atomic<int> counter{0};
   for (int i = 0; i < 200; ++i) {
@@ -38,7 +38,7 @@ TEST(ThreadPool, RunsEverySubmittedTaskAndIsReusable) {
 }
 
 TEST(ThreadPool, SizeOneRunsInlineOnTheCallingThread) {
-  ThreadPool pool(1);
+  pipeline::ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
   std::thread::id seen;
   pool.submit([&seen] { seen = std::this_thread::get_id(); });
@@ -47,9 +47,9 @@ TEST(ThreadPool, SizeOneRunsInlineOnTheCallingThread) {
 }
 
 TEST(ThreadPool, ZeroClampsToOne) {
-  ThreadPool pool(0);
+  pipeline::ThreadPool pool(0);
   EXPECT_EQ(pool.concurrency(), 1u);
-  EXPECT_GE(ThreadPool::hardware_jobs(), 1u);
+  EXPECT_GE(pipeline::ThreadPool::hardware_jobs(), 1u);
 }
 
 // --------------------------------------------------------- grid grammar
@@ -177,13 +177,12 @@ TEST(Explore, InvalidPointIsReportedNotThrown) {
 }
 
 TEST(Explore, OnDiskCacheMakesRepeatInvocationsFree) {
-  const std::string cache_file =
-      testing::TempDir() + "/explore_cache_test.sweep-cache";
-  std::remove(cache_file.c_str());
+  const std::string store_dir = testing::TempDir() + "/explore_store_test";
+  std::filesystem::remove_all(store_dir);
 
   const SweepSpec spec = SweepSpec::from_grid("alus=1..2");
   ExploreOptions options;
-  options.cache_file = cache_file;
+  options.store_dir = store_dir;
 
   const SweepResult cold = run_sweep(kProg, spec, options);
   EXPECT_EQ(cold.cache_hits, 0u);
@@ -198,7 +197,7 @@ TEST(Explore, OnDiskCacheMakesRepeatInvocationsFree) {
   const SweepResult other =
       run_sweep("int main() { out(1); return 1; }", spec, options);
   EXPECT_EQ(other.cache_hits, 0u);
-  std::remove(cache_file.c_str());
+  std::filesystem::remove_all(store_dir);
 }
 
 TEST(Explore, InMemoryCacheDeduplicatesRepeatedPointsWithinOneSweep) {
@@ -210,44 +209,6 @@ TEST(Explore, InMemoryCacheDeduplicatesRepeatedPointsWithinOneSweep) {
   EXPECT_TRUE(r.points[0].ok);
   EXPECT_TRUE(r.points[1].ok);
   EXPECT_EQ(r.points[0].cycles, r.points[1].cycles);
-}
-
-TEST(ResultCache, FileRoundTripIgnoresCorruptLines) {
-  const std::string path = testing::TempDir() + "/cache_roundtrip.txt";
-  ResultCache cache;
-  const ResultCache::Key key{0xdeadbeefull, 0x1234ull};
-  CacheEntry e;
-  e.cycles = 12345;
-  e.ops_committed = 678;
-  e.output_words = 3;
-  e.output_hash = 0xabcdef0123456789ull;
-  e.ret = 42;
-  cache.insert(key, e);
-  cache.save_file(path);
-
-  {  // append garbage that load must skip
-    std::ofstream out(path, std::ios::app);
-    out << "not a cache line\n"
-        << "v1 zz zz 1 2 3 4 5\n"
-        << "v1 1 2 3\n"
-        << "v2 1 2 3 4 5 6 7\n";
-  }
-  ResultCache loaded;
-  EXPECT_EQ(loaded.load_file(path), 1u);
-  CacheEntry got;
-  ASSERT_TRUE(loaded.lookup(key, got));
-  EXPECT_EQ(got, e);
-  EXPECT_EQ(loaded.hits(), 1u);
-  CacheEntry miss;
-  EXPECT_FALSE(loaded.lookup({1, 2}, miss));
-  EXPECT_EQ(loaded.misses(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, MissingFileLoadsNothing) {
-  ResultCache cache;
-  EXPECT_EQ(cache.load_file(testing::TempDir() + "/does_not_exist.cache"), 0u);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 // --------------------------------------------------------------- pareto

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 
 #include "frontend/irgen.hpp"
 #include "ir/interp.hpp"
-#include "opt/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic {
@@ -287,6 +287,11 @@ struct PassCombo {
   const char* name;
   opt::OptOptions options;
 };
+
+// Without this gtest prints the raw bytes of the struct, and with them the
+// address of `name`, into every listed test name, so ctest's names would
+// change from one build to the next.
+void PrintTo(const PassCombo& combo, std::ostream* os) { *os << combo.name; }
 
 class OptProperty : public ::testing::TestWithParam<PassCombo> {};
 

@@ -1,13 +1,16 @@
 // The unified pipeline API (src/pipeline): the options partition
 // (codegen_slice), content-addressed store hits that are byte-identical
 // to cold compiles, artifact sharing across simulation-only config
-// variants, store version isolation, the batch scheduler's determinism,
-// and the zero-recompilation warm path that the CI cache-correctness
-// job checks end to end.
+// variants, store version isolation, stored simulation results
+// (Granularity::kResult), the batch scheduler's determinism, and the
+// zero-recompilation warm path that the CI cache-correctness job checks
+// end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -16,8 +19,10 @@
 #include "opt/opt.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/store.hpp"
+#include "pipeline/version.hpp"
 #include "serial/serial.hpp"
 #include "support/bits.hpp"
+#include "support/text.hpp"
 
 namespace cepic::pipeline {
 namespace {
@@ -225,9 +230,13 @@ TEST(Store, RejectsOldLayoutAndForeignDirectories) {
   // A pre-PR7 store put granularity directories directly under the
   // version directory the caller pointed at; passing such a directory
   // as the root now fails fast instead of silently nesting a new store.
-  const std::string old_layout = scratch_dir("store_old_layout");
-  std::filesystem::create_directories(old_layout + "/asm");
-  EXPECT_THROW(Store(old_layout, "vA"), Error);
+  // Every granularity's directory (result/ included) counts.
+  for (const GranularityInfo& g : kGranularities) {
+    const std::string old_layout = scratch_dir(cat("store_old_", g.name));
+    std::filesystem::create_directories(old_layout + "/" + g.subdir);
+    EXPECT_THROW(Store(old_layout, "vA"), Error) << g.subdir;
+    std::filesystem::remove_all(old_layout);
+  }
 
   // A versioned directory that exists but carries no format marker was
   // not written by this toolchain — refuse to adopt it.
@@ -235,8 +244,57 @@ TEST(Store, RejectsOldLayoutAndForeignDirectories) {
   std::filesystem::create_directories(foreign + "/vA");
   EXPECT_THROW(Store(foreign, "vA"), Error);
 
-  std::filesystem::remove_all(old_layout);
   std::filesystem::remove_all(foreign);
+}
+
+TEST(Store, ConcurrentOpenersOfAFreshRootAllSucceed) {
+  // Sweeps started together on a new --cache race to create its
+  // versioned directory; none may observe it before its format marker.
+  for (int round = 0; round < 50; ++round) {
+    const std::string dir = scratch_dir("store_race");
+    std::atomic<int> failures{0};
+    std::vector<std::thread> openers;
+    for (int t = 0; t < 4; ++t) {
+      openers.emplace_back([&dir, &failures] {
+        try {
+          Store store(dir, "vA");
+        } catch (const Error&) {
+          ++failures;
+        }
+      });
+    }
+    for (std::thread& t : openers) t.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+  }
+}
+
+TEST(Store, ResultBlobRoundTripsThroughDisk) {
+  const std::string dir = scratch_dir("store_result");
+  const ArtifactId id{Granularity::kResult, 0x1234};
+  SimResult r;
+  r.cycles = 12345;
+  r.ops_committed = 678;
+  r.output_words = 3;
+  r.output_hash = 0xabcdef0123456789ull;
+  r.ret = 0xfffffffeu;
+  {
+    Store store(dir, "vA");
+    store.put(id, r);
+    SimResult memo;
+    ASSERT_TRUE(store.get(id, memo));
+    EXPECT_EQ(memo, r);
+  }
+  Store fresh(dir, "vA");
+  SimResult disk;
+  ASSERT_TRUE(fresh.get(id, disk));
+  EXPECT_EQ(disk, r);
+  SimResult missing;
+  EXPECT_FALSE(fresh.get(ArtifactId{Granularity::kResult, 99}, missing));
+  const StoreStats stats = fresh.stats();
+  EXPECT_EQ(stats.result.hits, 1u);
+  EXPECT_EQ(stats.result.misses, 1u);
+  EXPECT_EQ(to_string(id), "result:0000000000001234");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Store, ArtifactIdFormatting) {
@@ -336,6 +394,93 @@ TEST(Service, BatchIndexingIsSourceMajorAndFailuresAreContained) {
   EXPECT_NE(outcomes[0].output_hash, outcomes[2].output_hash);
 }
 
+TEST(Service, CorruptResultBlobsResimulateOnlyTheirPoints) {
+  const std::string dir = scratch_dir("corrupt_results");
+  std::vector<ProcessorConfig> configs;
+  for (unsigned alus = 1; alus <= 2; ++alus) {
+    for (unsigned stages = 2; stages <= 3; ++stages) {
+      ProcessorConfig cfg;
+      cfg.num_alus = alus;
+      cfg.pipeline_stages = stages;
+      configs.push_back(cfg);
+    }
+  }
+  Options options;
+  options.store_dir = dir;
+  std::vector<RunOutcome> cold;
+  {
+    Service service(options);
+    cold = service.run_batch({kProg}, configs);
+    EXPECT_EQ(service.stats().simulations, 4u);
+  }
+
+  // One blob truncated, one with trailing garbage: both are the wrong
+  // size, so both points miss and re-simulate; the rest replay.
+  std::vector<std::filesystem::path> blobs;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           dir + "/" + store_version_tag() + "/result")) {
+    blobs.push_back(entry.path());
+  }
+  ASSERT_EQ(blobs.size(), configs.size());
+  std::filesystem::resize_file(blobs[0], 7);
+  std::filesystem::resize_file(
+      blobs[1], std::filesystem::file_size(blobs[1]) + 1);
+
+  const auto expect_same = [&cold](const std::vector<RunOutcome>& got) {
+    ASSERT_EQ(got.size(), cold.size());
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+      ASSERT_TRUE(got[i].ok) << got[i].error;
+      EXPECT_EQ(got[i].cycles, cold[i].cycles) << i;
+      EXPECT_EQ(got[i].ops_committed, cold[i].ops_committed) << i;
+      EXPECT_EQ(got[i].output_words, cold[i].output_words) << i;
+      EXPECT_EQ(got[i].output_hash, cold[i].output_hash) << i;
+      EXPECT_EQ(got[i].ret, cold[i].ret) << i;
+    }
+  };
+  {
+    Service service(options);
+    const std::vector<RunOutcome> mended = service.run_batch({kProg}, configs);
+    expect_same(mended);
+    std::size_t replayed = 0;
+    for (const RunOutcome& o : mended) replayed += o.from_result_cache;
+    EXPECT_EQ(replayed, 2u);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.simulations, 2u);
+    EXPECT_EQ(stats.result_hits, 2u);
+    EXPECT_EQ(stats.result_misses, 2u);
+    EXPECT_EQ(stats.compiles(), 0u);
+  }
+  // The re-simulated points overwrote their blobs: everything replays.
+  Service warm(options);
+  expect_same(warm.run_batch({kProg}, configs));
+  EXPECT_EQ(warm.stats().simulations, 0u);
+  EXPECT_EQ(warm.stats().result_hits, 4u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Service, MemoryOnlyServiceReplaysResultsOnASecondBatch) {
+  std::vector<ProcessorConfig> configs(2);
+  configs[1].pipeline_stages = 3;
+  Service service;
+  const std::vector<RunOutcome> first = service.run_batch({kProg}, configs);
+  EXPECT_EQ(service.stats().simulations, 2u);
+  EXPECT_EQ(service.stats().result_misses, 2u);
+  const std::vector<RunOutcome> second = service.run_batch({kProg}, configs);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.simulations, 2u);
+  EXPECT_EQ(stats.result_hits, 2u);
+  EXPECT_EQ(stats.store.result.hits, stats.result_hits);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(first[i].ok) << first[i].error;
+    EXPECT_FALSE(first[i].from_result_cache) << i;
+    EXPECT_TRUE(second[i].from_result_cache) << i;
+    EXPECT_EQ(second[i].cycles, first[i].cycles) << i;
+    EXPECT_EQ(second[i].output_hash, first[i].output_hash) << i;
+    EXPECT_EQ(second[i].ret, first[i].ret) << i;
+  }
+}
+
 // ----------------------------------------------------- simulation dedup
 
 TEST(SimSlice, ResetsExactlyTheSimulatorInvisibleFields) {
@@ -426,11 +571,11 @@ TEST(Service, SimVisibleVariantsAreNeverDeduped) {
 }
 
 TEST(Service, ResultCacheNeverAnswersAcrossExecutionTiers) {
-  // Tiers are differentially proven bit-identical, but the cache must
-  // not rely on that: a cached outcome may only answer for the tier
+  // Tiers are differentially proven bit-identical, but the store must
+  // not rely on that: a stored outcome may only answer for the tier
   // that produced it, so a tier divergence can never hide behind a
-  // result-cache hit. Both the persisted-result context and the
-  // in-batch sim-dedup digest fold the tier.
+  // replayed result. Both the kResult key and the in-batch sim-dedup
+  // digest fold the tier.
   const std::string dir = scratch_dir("tier_keying");
   ProcessorConfig cfg;
 

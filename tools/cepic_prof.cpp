@@ -124,12 +124,12 @@ void report_trace(const json::Value& doc, unsigned top) {
     }
     std::cout << "\n";
   };
-  for (const char* g : {"ir", "asm", "program", "lint"}) {
-    ratio_line(cat("store.", g).c_str(), counter(cat("store.", g, ".hits")),
-               counter(cat("store.", g, ".misses")));
+  for (const cepic::pipeline::GranularityInfo& g :
+       cepic::pipeline::kGranularities) {
+    ratio_line(cat("store.", g.name).c_str(),
+               counter(cat("store.", g.name, ".hits")),
+               counter(cat("store.", g.name, ".misses")));
   }
-  ratio_line("results", counter("pipeline.result_hits"),
-             counter("pipeline.result_misses"));
   std::cout << pad_right("  compiles", 26)
             << pad_left(cat(compiles), 9) << "\n";
   std::cout << pad_right("  simulations", 26)

@@ -235,12 +235,14 @@ inline void add_config_option(OptionTable& table, std::string* config_path) {
 }
 
 /// `--cache DIR` + `--cache-stats` — the persistent content-addressed
-/// compile store (artifacts shared across configurations, tools and
-/// runs; results.cache lives inside it) and its stderr report.
+/// store (compiled artifacts shared across configurations, tools and
+/// runs, plus one simulation result per swept point) and its stderr
+/// report.
 inline void add_cache_options(OptionTable& table, std::string* store_dir,
                               bool* cache_stats) {
   table.str("--cache", "DIR",
-            "persistent compile store (artifacts + results)", store_dir);
+            "persistent store (compiled artifacts + simulation results)",
+            store_dir);
   table.flag("--cache-stats", "report store hits/misses to stderr",
              cache_stats);
 }
@@ -331,12 +333,6 @@ inline void print_cache_stats(const char* tool,
     }
     return 0;
   };
-  const auto granularity = [&](const char* name) {
-    std::cerr << tool << ": cache-stats " << name
-              << " hits=" << get(cat("store.", name, ".hits"))
-              << " misses=" << get(cat("store.", name, ".misses"))
-              << " puts=" << get(cat("store.", name, ".puts")) << "\n";
-  };
   std::cerr << tool << ": cache-stats compiles=" << get("pipeline.compiles")
             << " frontend=" << get("pipeline.frontend_runs")
             << " backend=" << get("pipeline.backend_runs")
@@ -346,10 +342,12 @@ inline void print_cache_stats(const char* tool,
             << " result-misses=" << get("pipeline.result_misses")
             << " sim-dedup=" << get("pipeline.sim_dedup_hits")
             << " lint=" << get("pipeline.lint_runs") << "\n";
-  granularity("ir");
-  granularity("asm");
-  granularity("program");
-  granularity("lint");
+  for (const pipeline::GranularityInfo& g : pipeline::kGranularities) {
+    std::cerr << tool << ": cache-stats " << g.name
+              << " hits=" << get(cat("store.", g.name, ".hits"))
+              << " misses=" << get(cat("store.", g.name, ".misses"))
+              << " puts=" << get(cat("store.", g.name, ".puts")) << "\n";
+  }
 }
 
 }  // namespace cepic::tools
